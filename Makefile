@@ -40,7 +40,7 @@ par-smoke:
 load-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve.load_smoke
 
-verify: test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke
+verify: test lint docs-check ckpt-smoke race-smoke stream-smoke par-smoke load-smoke bench-smoke
 
 analysis-report:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.report

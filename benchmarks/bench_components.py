@@ -165,9 +165,23 @@ def _pr4_trainer(model, dataset, **kwargs):
     return trainer, split
 
 
+class _TwoCallView:
+    """``model`` without ``group_item_scores_pair``: the trainer then
+    scores positives and negatives with two ``group_item_scores`` calls,
+    the path baselines take."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        if name == "group_item_scores_pair":
+            raise AttributeError(name)
+        return getattr(self._model, name)
+
+
 def test_training_step_fused(benchmark, model, dataset):
     """One step through the fused pos+neg pair path (the default)."""
-    trainer, _ = _pr4_trainer(model, dataset, fused=True)
+    trainer, _ = _pr4_trainer(model, dataset)
     batch = next(iter(trainer.loader.epoch()))
     benchmark(lambda: trainer.train_step(batch))
 
@@ -179,14 +193,14 @@ def test_training_step_unfused(benchmark, model, dataset):
     sharing member receptive-field gathers between the two candidate
     sets (``KGAG.group_item_scores_pair``).
     """
-    trainer, _ = _pr4_trainer(model, dataset, fused=False)
+    trainer, _ = _pr4_trainer(_TwoCallView(model), dataset)
     batch = next(iter(trainer.loader.epoch()))
     benchmark(lambda: trainer.train_step(batch))
 
 
 def test_evaluate_tape_free(benchmark, model, dataset):
     """Per-epoch validation through the live-weights serving engine."""
-    trainer, split = _pr4_trainer(model, dataset, tape_free_eval=True)
+    trainer, split = _pr4_trainer(model, dataset)
     benchmark(lambda: trainer.evaluate(split.validation, k=5))
 
 
@@ -197,8 +211,21 @@ def test_evaluate_tape(benchmark, model, dataset):
     building (and immediately discarding) the tape plus per-pair
     receptive-field gathers during scoring.
     """
-    trainer, split = _pr4_trainer(model, dataset, tape_free_eval=False)
-    benchmark(lambda: trainer.evaluate(split.validation, k=5))
+    from repro.eval import evaluate_group_recommender
+
+    _, split = _pr4_trainer(model, dataset)
+    model.eval()
+
+    def evaluate():
+        with no_grad():
+            return evaluate_group_recommender(
+                lambda g, v: model.group_item_scores(g, v).numpy(),
+                split.validation,
+                k=5,
+                train_interactions=split.train,
+            )
+
+    benchmark(evaluate)
 
 
 def _cache_workload(cache):

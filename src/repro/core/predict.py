@@ -86,8 +86,16 @@ class GroupRecommender:
     index:
         Optional :class:`~repro.serve.index.EmbeddingIndex`.  When set,
         scoring and explanation delegate to the tape-free
-        :class:`~repro.serve.engine.RankingEngine` (bit-exact with the
-        model path) instead of re-running the autograd forward.
+        :class:`~repro.serve.engine.RankingEngine` instead of re-running
+        the autograd forward.
+
+    Without an index, a model inside the engine's supported matrix is
+    served by a :class:`~repro.serve.engine.RankingEngine` over a
+    zero-copy view of its live weights, built per call: rankings run the
+    catalog kernel (bit-identical with an index over the same weights),
+    while :meth:`score` stays bit-exact with the tape and :meth:`explain`
+    matches it within 1e-12.  Other models run the autograd forward
+    under ``no_grad``.
     """
 
     def __init__(
@@ -107,6 +115,17 @@ class GroupRecommender:
 
             self._engine = RankingEngine(index)
 
+    def _ranking_engine(self):
+        """The index engine, a live-weights engine, or None (tape path)."""
+        if self._engine is not None:
+            return self._engine
+        from ..serve.engine import RankingEngine, engine_supports  # deferred import
+
+        model = self._require_model()
+        if not engine_supports(model):
+            return None
+        return RankingEngine.from_model(model)
+
     def _seen_items(self, group_id: int) -> np.ndarray:
         if self.train_interactions is not None:
             return self.train_interactions.items_of(int(group_id))
@@ -121,8 +140,9 @@ class GroupRecommender:
 
     def score(self, group_ids, item_ids) -> np.ndarray:
         """Raw ŷ scores for aligned id arrays."""
-        if self._engine is not None:
-            return self._engine.score_pairs(group_ids, item_ids)
+        engine = self._ranking_engine()
+        if engine is not None:
+            return engine.score_pairs(group_ids, item_ids)
         model = self._require_model()
         model.eval()
         with no_grad():
@@ -134,8 +154,9 @@ class GroupRecommender:
         """Top-k items for one group, best first."""
         if k <= 0:
             raise ValueError("k must be positive")
-        if self._engine is not None:
-            scores = self._engine.scores_for_group(int(group_id))
+        engine = self._ranking_engine()
+        if engine is not None:
+            scores = engine.scores_for_group(int(group_id))
         else:
             model = self._require_model()
             model.eval()
@@ -163,8 +184,9 @@ class GroupRecommender:
 
     def explain(self, group_id: int, item_id: int) -> Explanation:
         """Attention-based explanation for one candidate (Fig. 6)."""
-        if self._engine is not None:
-            raw = self._engine.explain(group_id, item_id)
+        engine = self._ranking_engine()
+        if engine is not None:
+            raw = engine.explain(group_id, item_id)
         else:
             model = self._require_model()
             model.eval()

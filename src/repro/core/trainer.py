@@ -87,13 +87,6 @@ class KGAGTrainer:
     diagnostics:
         Optional :class:`~repro.core.diagnostics.DiagnosticsRecorder`
         bound to ``model``; ``fit()`` records one snapshot per epoch.
-    fused:
-        Score the positive and negative candidates of each group batch
-        in one propagation pass
-        (:meth:`~repro.core.model.KGAG.group_item_scores_pair`) instead
-        of two.  Per-row math is identical; scores and gradients match
-        the two-call path to float round-off.  On by default; disable to
-        A/B against the reference path.
     compile:
         Execute train steps through the compiled tape executor
         (:mod:`repro.nn.compile`).  The first step of each shape
@@ -109,16 +102,7 @@ class KGAGTrainer:
         the compiled set — and is observable via the ``compile/traces``,
         ``compile/replays`` and ``compile/fallbacks`` counters plus the
         :attr:`compile_stats` dict.  The compiled path always scores
-        through the fused pair plan, regardless of ``fused``.  Off by
-        default.
-    tape_free_eval:
-        Route :meth:`evaluate` / :meth:`validate` through a
-        :class:`~repro.serve.engine.RankingEngine` built directly over
-        the live model weights (no tape, no ``.npz`` round-trip)
-        whenever the model's config is inside the engine's supported
-        matrix; otherwise fall back to the tape path under ``no_grad``.
-        Rankings are identical; raw scores match to ~1e-9 (BLAS
-        reassociation in the batched engine kernels).
+        through the fused pair plan.  Off by default.
     workers:
         Number of data-parallel training processes
         (:mod:`repro.core.parallel`).  ``workers=1`` (the default) is
@@ -143,8 +127,6 @@ class KGAGTrainer:
         metrics=None,
         run_log=None,
         diagnostics=None,
-        fused: bool = True,
-        tape_free_eval: bool = True,
         compile: bool = False,
         workers: int = 1,
     ):
@@ -167,8 +149,6 @@ class KGAGTrainer:
         self._best_state: dict | None = None
         self._patience_left = self.config.patience
         self.sanitize = sanitize
-        self.fused = bool(fused)
-        self.tape_free_eval = bool(tape_free_eval)
         self.compile = bool(compile)
         self.workers = int(workers)
         self._pool = None
@@ -257,7 +237,9 @@ class KGAGTrainer:
             return self._forward_backward_compiled(batch)
         self.optimizer.zero_grad()
         triplets = batch.group_triplets
-        if self.fused and hasattr(self.model, "group_item_scores_pair"):
+        if hasattr(self.model, "group_item_scores_pair"):
+            # One propagation pass for positives and negatives; baselines
+            # without the pair method take the two-call path.
             pos_scores, neg_scores = self.model.group_item_scores_pair(
                 triplets[:, 0], triplets[:, 1], triplets[:, 2]
             )
@@ -496,24 +478,24 @@ class KGAGTrainer:
     def evaluate(self, interactions: InteractionTable, k: int = 5) -> dict[str, float]:
         """hit@k / rec@k of the current model on any split.
 
-        When ``tape_free_eval`` is on and the model config is inside the
-        serving engine's supported matrix, scoring runs through a
+        When the model config is inside the serving engine's supported
+        matrix, scoring runs through a
         :class:`~repro.serve.engine.RankingEngine` over a zero-copy view
         of the live weights — no autograd tape is built and member/item
-        receptive fields are shared across the whole catalog.  Otherwise
+        receptive fields are shared across the whole catalog; scores
+        agree with the tape to float round-off (within 1e-9).  Otherwise
         this falls back to the reference tape path under ``no_grad``.
         """
         self.model.eval()
-        if self.tape_free_eval:
-            engine = self._ranking_engine()
-            if engine is not None:
-                return evaluate_group_recommender(
-                    None,
-                    interactions,
-                    k=k,
-                    train_interactions=self.group_train,
-                    index=engine,
-                )
+        engine = self._ranking_engine()
+        if engine is not None:
+            return evaluate_group_recommender(
+                None,
+                interactions,
+                k=k,
+                train_interactions=self.group_train,
+                index=engine,
+            )
         with no_grad():
             return evaluate_group_recommender(
                 lambda g, v: self.model.group_item_scores(g, v).numpy(),

@@ -26,8 +26,9 @@ class NegativeSampler:
     rng:
         Seeded generator.
     max_resamples:
-        Rejection-sampling budget per draw; rows that have consumed the
-        whole item vocabulary fall back to uniform sampling.
+        Rejection-sampling budget per draw; a draw still colliding after
+        it comes from the row's unseen items, and rows that have consumed
+        the whole item vocabulary fall back to uniform sampling.
     """
 
     def __init__(
@@ -58,18 +59,30 @@ class NegativeSampler:
         rows = np.asarray(rows, dtype=np.int64)
         negatives = self.rng.integers(0, self.num_items, size=len(rows))
         for attempt in range(self.max_resamples):
-            collisions = np.array(
-                [
-                    item in self._positives.get(int(row), ())
-                    for row, item in zip(rows, negatives)
-                ]
-            )
+            collisions = self._collisions(rows, negatives)
             if not collisions.any():
-                break
+                return negatives
             negatives[collisions] = self.rng.integers(
                 0, self.num_items, size=int(collisions.sum())
             )
+        # Budget spent (a row that has seen nearly every item): draw the
+        # rows still colliding from their unseen items, if any are left.
+        for position in np.flatnonzero(self._collisions(rows, negatives)):
+            seen = list(self._positives[int(rows[position])])
+            unseen = np.setdiff1d(np.arange(self.num_items), seen)
+            if len(unseen):
+                negatives[position] = unseen[self.rng.integers(len(unseen))]
         return negatives
+
+    def _collisions(self, rows: np.ndarray, negatives: np.ndarray) -> np.ndarray:
+        """Mask of draws that hit one of their row's positives."""
+        return np.array(
+            [
+                item in self._positives.get(int(row), ())
+                for row, item in zip(rows, negatives)
+            ],
+            dtype=bool,
+        )
 
     def sample_triplets(self, pairs) -> np.ndarray:
         """Turn ``(row, pos_item)`` pairs into ``(row, pos, neg)`` triplets."""

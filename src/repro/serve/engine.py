@@ -1,20 +1,21 @@
 """Tape-free ranking engine over an :class:`~repro.serve.index.EmbeddingIndex`.
 
-Answers top-K group recommendation requests in pure numpy.  The math is
-a line-for-line mirror of the training stack — propagation follows
-:class:`~repro.core.propagation.InformationPropagation` (Eqs. 1-8) and
-the SP/PI attention follows
+Answers top-K group recommendation requests in pure numpy.  Pair
+scoring is a line-for-line mirror of the training stack — propagation
+follows :class:`~repro.core.propagation.InformationPropagation`
+(Eqs. 1-8) and the SP/PI attention follows
 :class:`~repro.core.attention.PreferenceAggregation` (Eqs. 9-13) — with
-the same operation order, so scores match the autograd path bit for bit
-on identical batches.  There is no tape, no ``Tensor`` wrapper and no
-parameter extraction per request: everything reads from the frozen index
-arrays.
+the same operation order, so pair scores match the autograd path bit for
+bit.  Full-catalog rankings run a catalog kernel that gathers each
+receptive field once per group and agrees with the tape to float
+round-off.  There is no tape, no ``Tensor`` wrapper and no parameter
+extraction per request: everything reads from the frozen index arrays.
 
 Two additions over the offline path:
 
 * **request micro-batching** — :class:`MicroBatcher` coalesces score
-  requests issued by concurrent server threads into one vectorized
-  forward (one matmul instead of one per request);
+  requests issued by concurrent server threads into one engine call,
+  so duplicate groups in a window are scored once;
 * **interacted-item masking** — :meth:`RankingEngine.top_k` reproduces
   the serving semantics of
   :meth:`~repro.core.predict.GroupRecommender.recommend` exactly,
@@ -233,6 +234,13 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
     return hidden[0]  # (M, S, Q, d)
 
 
+def _check_ids(ids: np.ndarray, bound: int, kind: str) -> None:
+    """Reject ids outside ``[0, bound)``; negative ids must not wrap."""
+    bad = ids[(ids < 0) | (ids >= bound)]
+    if len(bad):
+        raise KeyError(f"{kind} {int(bad[0])} out of range [0, {bound})")
+
+
 def engine_supports(model) -> bool:
     """Whether the engine's numpy mirror covers ``model``'s config.
 
@@ -341,6 +349,19 @@ class LiveModelIndex:
 class RankingEngine:
     """Vectorized, cache-aware top-K scoring over a serving index.
 
+    Two scoring routes, one per question:
+
+    * full-catalog rankings (:meth:`scores_for_groups`, :meth:`top_k`)
+      run the shared-gather catalog kernel, one group at a time, so a
+      group's score vector never depends on which groups share its
+      batch and an index and a :class:`LiveModelIndex` over the same
+      weights give bit-identical rows;
+    * single pairs (:meth:`score_pairs`, :meth:`explain`) run the
+      per-pair mirror of the tape; pair scores are bit-exact with
+      :meth:`~repro.core.model.KGAG.group_item_scores`.
+
+    The two routes agree to float round-off (within 1e-9).
+
     Parameters
     ----------
     index:
@@ -350,26 +371,17 @@ class RankingEngine:
         score vectors are cached under ``(group, index.version)`` so
         repeated requests for a group (any ``k``) skip the forward pass.
     chunk_size:
-        Pair-level chunking bound, matching the evaluator's default so a
-        single-group full-catalog scoring runs through the exact same
-        batch shapes as the offline path (bit-exact parity).
-    fast_catalog:
-        Route full-catalog requests (:meth:`scores_for_groups`) through
-        :meth:`score_matrix`, which shares receptive-field gathers
-        across the catalog instead of scoring each ``(group, item)``
-        pair independently.  Scores agree with the pair path to float
-        round-off (not bit-for-bit), so the default stays off for the
-        bit-exact serving path; :meth:`from_model` — the per-epoch
-        validation constructor — turns it on.
+        Pair-level chunking bound for :meth:`score_pairs`, matching the
+        evaluator's default so pair scoring runs through the same batch
+        shapes as the offline path (bit-exact parity).
     """
 
-    def __init__(self, index, cache=None, chunk_size: int = 4096, fast_catalog: bool = False):
+    def __init__(self, index, cache=None, chunk_size: int = 4096):
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.index = index
         self.cache = cache
         self.chunk_size = int(chunk_size)
-        self.fast_catalog = bool(fast_catalog)
 
     @classmethod
     def from_model(
@@ -381,16 +393,15 @@ class RankingEngine:
     ) -> "RankingEngine":
         """Engine over a **live** model: no copies, no ``.npz`` round-trip.
 
-        Wraps ``model`` in a :class:`LiveModelIndex` and enables the
-        shared-receptive-field catalog path — the constructor the
-        trainer's tape-free per-epoch validation uses.  Raises
+        Wraps ``model`` in a :class:`LiveModelIndex` — the constructor
+        the trainer's per-epoch validation and the model-backed
+        :class:`~repro.core.predict.GroupRecommender` use.  Raises
         ``ValueError`` when :func:`engine_supports` rejects the model.
         """
         return cls(
             LiveModelIndex(model, train_interactions=train_interactions),
             cache=cache,
             chunk_size=chunk_size,
-            fast_catalog=True,
         )
 
     # -- core scoring ----------------------------------------------------
@@ -407,6 +418,8 @@ class RankingEngine:
         item_ids = np.asarray(item_ids, dtype=np.int64)
         if group_ids.shape != item_ids.shape or group_ids.ndim != 1:
             raise ValueError("group_ids and item_ids must be aligned 1-D arrays")
+        _check_ids(group_ids, index.num_groups, "group")
+        _check_ids(item_ids, index.num_items, "item")
         scores = np.empty(len(group_ids), dtype=np.float64)
         for start in range(0, len(group_ids), self.chunk_size):
             stop = start + self.chunk_size
@@ -498,23 +511,21 @@ class RankingEngine:
         pooling) or ``w_peers.T / peers`` (mean pooling) off it.  One
         GEMM then replaces the ``(B, S, S-1, d)`` peer gather.  The
         single pass reorders Eq. 10's additions, so this serves only
-        the round-off-parity catalog path, never the bit-exact pair
-        path (:meth:`_raw_attention`).
+        the catalog kernel, never the bit-exact pair path
+        (:meth:`_raw_attention`).
         """
         dim = index.dim
         peers = size - 1
-        mixing = np.zeros((size * dim, size * dim))
-        for s in range(size):
-            col = slice(s * dim, (s + 1) * dim)
-            mixing[col, col] = index.attn_w_member.T
-            for j, t in enumerate(index.peer_index[s]):
-                row = slice(t * dim, (t + 1) * dim)
-                if index.pi_pooling == "concat":
-                    block = index.attn_w_peers[:, j * dim : (j + 1) * dim]
-                else:  # mean pooling spreads one projection over peers
-                    block = index.attn_w_peers * (1.0 / peers)
-                mixing[row, col] += block.T
-        return mixing
+        if index.pi_pooling == "concat":
+            # Peer position j's (d_in, d_out) block of the concat weight.
+            peer_blocks = index.attn_w_peers.reshape(dim, peers, dim).transpose(1, 2, 0)
+        else:  # mean pooling spreads one projection over peers
+            peer_blocks = (index.attn_w_peers * (1.0 / peers)).T
+        blocks = np.zeros((size, size, dim, dim))  # [row slot t, column slot s]
+        slots = np.arange(size)
+        blocks[slots, slots] = index.attn_w_member.T
+        blocks[index.peer_index, slots[:, None]] = peer_blocks
+        return blocks.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
 
     def _aggregate_catalog(
         self, index, member_vectors: np.ndarray, item_vectors: np.ndarray
@@ -523,10 +534,9 @@ class RankingEngine:
 
         Same math, gather-free: the SP/PI/softmax reductions run as
         einsum contractions and the peer mixing as one block GEMM
-        (:meth:`_pi_mixing_matrix`), which matters at catalog-block
-        batch sizes (``groups x num_items`` rows).  Agrees with the
-        pair path to float round-off, like the rest of the catalog
-        route.
+        (:meth:`_pi_mixing_matrix`), which matters at catalog batch
+        sizes (``num_items`` rows).  Agrees with the pair path to float
+        round-off, like the rest of the catalog route.
         """
         batch, size, dim = member_vectors.shape
         combined = np.zeros((batch, size))
@@ -552,86 +562,43 @@ class RankingEngine:
     def scores_for_groups(self, group_ids) -> np.ndarray:
         """``(B, num_items)`` score matrix for a batch of groups.
 
-        Cached groups are answered from the score cache; the remaining
-        misses are coalesced into one chunked forward pass — this is the
-        micro-batch primitive the server's :class:`MicroBatcher` uses.
+        Cached groups are answered from the score cache; each distinct
+        miss is scored alone by the catalog kernel
+        (:meth:`_score_catalog`), so a row does not depend on the rest
+        of the batch.  This is the primitive the server's
+        :class:`MicroBatcher` and the evaluator use.
         """
         return self._scores_for_groups(self.index, group_ids)
 
     def _scores_for_groups(self, index, group_ids) -> np.ndarray:
-        group_ids = [int(g) for g in group_ids]
-        for group in group_ids:
-            if not 0 <= group < index.num_groups:
-                raise KeyError(f"group {group} out of range [0, {index.num_groups})")
-        num_items = index.num_items
-        out = np.empty((len(group_ids), num_items), dtype=np.float64)
-        misses: dict[int, list[int]] = {}
-        for row, group in enumerate(group_ids):
-            cached = self._cache_get(index, group)
-            if cached is not None:
-                out[row] = cached
-            else:
-                misses.setdefault(group, []).append(row)
-        if misses:
-            unique = sorted(misses)
-            if self.fast_catalog:
-                matrix = self._score_matrix(index, np.array(unique, dtype=np.int64))
-                scores = matrix.reshape(-1)
-            else:
-                pending_groups = np.repeat(
-                    np.array(unique, dtype=np.int64), num_items
-                )
-                pending_items = np.tile(
-                    np.arange(num_items, dtype=np.int64), len(unique)
-                )
-                scores = self._score_pairs(index, pending_groups, pending_items)
-            for position, group in enumerate(unique):
-                vector = scores[position * num_items : (position + 1) * num_items]
+        group_ids = np.asarray(group_ids, dtype=np.int64).reshape(-1)
+        _check_ids(group_ids, index.num_groups, "group")
+        out = np.empty((len(group_ids), index.num_items), dtype=np.float64)
+        scored: dict[int, np.ndarray] = {}
+        for row, group in enumerate(group_ids.tolist()):
+            vector = scored.get(group)
+            if vector is None:
+                vector = self._cache_get(index, group)
+            if vector is None:
+                vector = self._score_catalog(index, group)
                 self._cache_put(index, group, vector)
-                for row in misses[group]:
-                    out[row] = vector
+            scored[group] = vector
+            out[row] = vector
         return out
 
-    def score_matrix(self, group_ids) -> np.ndarray:
-        """``(G, num_items)`` full-catalog scores via shared gathers.
+    def _score_catalog(self, index, group: int) -> np.ndarray:
+        """``(num_items,)`` scores of one group against the whole catalog.
 
-        The algorithmic fast path behind per-epoch validation: each
-        group's member receptive field and each item's receptive field
-        are gathered once and reused across the whole cross product (see
-        :func:`_catalog_propagate`), instead of once per ``(group,
-        item)`` pair as :meth:`score_pairs` does.  Groups are processed
-        in blocks of ``chunk_size // num_items`` pairs to bound memory.
+        The same Eqs. 1-14 as :meth:`_score_chunk`, but each member's
+        and each item's receptive field is gathered once and reused
+        across the catalog (see :func:`_catalog_propagate`) instead of
+        once per ``(group, item)`` pair.
         """
-        return self._score_matrix(self.index, group_ids)
-
-    def _score_matrix(self, index, group_ids) -> np.ndarray:
-        group_ids = np.asarray(group_ids, dtype=np.int64)
-        for group in group_ids:
-            if not 0 <= group < index.num_groups:
-                raise KeyError(f"group {group} out of range [0, {index.num_groups})")
-        num_items = index.num_items
-        out = np.empty((len(group_ids), num_items), dtype=np.float64)
-        block = max(1, self.chunk_size // max(1, num_items))
-        for start in range(0, len(group_ids), block):
-            chunk = group_ids[start : start + block]
-            out[start : start + len(chunk)] = self._score_catalog_block(index, chunk)
-        return out
-
-    def _score_catalog_block(self, index, group_ids: np.ndarray) -> np.ndarray:
-        """Full-catalog scores for one block of groups."""
         dim = index.dim
-        groups = len(group_ids)
         num_items = index.num_items
-        members = index.group_members[group_ids]  # (G, S)
-        size = members.shape[1]
-        member_entities = index.user_entity_offset + members
+        member_entities = index.user_entity_offset + index.group_members[group]  # (S,)
+        size = len(member_entities)
         item_entities = index.item_entities  # the whole catalog, (I,)
-
-        # Queries (Eq. 2): candidate item zero-order for member seeds,
-        # mean member zero-order for item seeds.
-        item_queries = index.entity_embeddings[item_entities]  # (I, d)
-        member_zero = index.entity_embeddings[member_entities]  # (G, S, d)
-        group_queries = member_zero.sum(axis=1) * (1.0 / size)  # (G, d)
 
         if index.num_layers == 0 or index.entity_final is not None:
             table = (
@@ -640,30 +607,24 @@ class RankingEngine:
                 else index.entity_final
             )
             member_final = np.broadcast_to(
-                table[member_entities][:, None], (groups, num_items, size, dim)
+                table[member_entities], (num_items, size, dim)
             )
-            item_final = np.broadcast_to(
-                table[item_entities][None], (groups, num_items, dim)
-            )
+            item_final = table[item_entities]
         else:
+            # Queries (Eq. 2): candidate item zero-order for member seeds,
+            # mean member zero-order for item seeds.
+            item_queries = index.entity_embeddings[item_entities]  # (I, d)
+            member_zero = index.entity_embeddings[member_entities]  # (S, d)
+            group_query = member_zero.sum(axis=0, keepdims=True) * (1.0 / size)
             member_final = _catalog_propagate(
-                index, member_entities, item_queries
-            ).transpose(0, 2, 1, 3)  # (G, S, I, d) -> (G, I, S, d)
-            item_final = (
-                _catalog_propagate(
-                    index, item_entities.reshape(-1, 1), group_queries
-                )
-                .reshape(num_items, groups, dim)
-                .transpose(1, 0, 2)  # (G, I, d)
-            )
+                index, member_entities.reshape(1, -1), item_queries
+            )[0].transpose(1, 0, 2)  # (S, I, d) -> (I, S, d)
+            item_final = _catalog_propagate(
+                index, item_entities.reshape(-1, 1), group_query
+            ).reshape(num_items, dim)
 
-        member_flat = member_final.reshape(groups * num_items, size, dim)
-        item_flat = np.ascontiguousarray(item_final).reshape(
-            groups * num_items, dim
-        )
-        group_vectors = self._aggregate_catalog(index, member_flat, item_flat)
-        scores = np.einsum("bd,bd->b", group_vectors, item_flat)
-        return scores.reshape(groups, num_items)
+        group_vectors = self._aggregate_catalog(index, member_final, item_final)
+        return np.einsum("bd,bd->b", group_vectors, item_final)
 
     def _cache_get(self, index, group: int) -> np.ndarray | None:
         if self.cache is None:
@@ -706,6 +667,8 @@ class RankingEngine:
         index = self.index
         group_ids = np.array([int(group_id)], dtype=np.int64)
         item_ids = np.array([int(item_id)], dtype=np.int64)
+        _check_ids(group_ids, index.num_groups, "group")
+        _check_ids(item_ids, index.num_items, "item")
         dim = index.dim
         members = index.group_members[group_ids]
         size = members.shape[1]
@@ -748,7 +711,7 @@ class MicroBatcher:
     Server threads call :meth:`scores_for_group`; the first caller in a
     window becomes the *leader*, waits up to ``max_wait_ms`` for peers to
     pile on (or until ``max_batch`` requests are queued), then runs one
-    vectorized :meth:`RankingEngine.scores_for_groups` for the whole
+    :meth:`RankingEngine.scores_for_groups` for the whole
     batch and hands each waiter its row.  Under a single-threaded client
     the wait degenerates to one timeout and one single-row batch.
     """

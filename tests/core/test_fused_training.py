@@ -7,20 +7,23 @@ indistinguishable from the reference paths:
   propagation for the positive and negative candidates) vs two
   :meth:`KGAG.group_item_scores` calls — scores within 1e-9 and
   parameter gradients equal to summation-order round-off;
-* a seeded :class:`TrainingHistory` with ``fused=True`` reproduces the
-  unfused losses;
-* tape-free validation (``tape_free_eval=True``, through the serving
-  engine over live weights) returns the same metrics and the same
-  top-K rankings as the tape path, across the supported config matrix;
+* a seeded :class:`TrainingHistory` through the pair path reproduces
+  the losses of the two-call path baselines take;
+* tape-free validation (through the serving engine's catalog kernel
+  over live weights) returns the same metrics as the tape path, and its
+  scores and top-K rankings — and those of ``GroupRecommender`` — stay
+  within 1e-9 of the tape, across the supported config matrix;
 * ``KGAGTrainer._gradient_norm`` equals the naive two-pass formula.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import KGAG, KGAGConfig, KGAGTrainer
+from repro.core import KGAG, KGAGConfig, KGAGTrainer, GroupRecommender
 from repro.core.trainer import combined_loss
 from repro.data import MovieLensLikeConfig, movielens_like, split_interactions
+from repro.eval import evaluate_group_recommender
+from repro.nn import no_grad
 
 from .conftest import build_model
 
@@ -32,6 +35,22 @@ def world():
     )
     split = split_interactions(dataset.group_item, rng=np.random.default_rng(0))
     return dataset, split
+
+
+class TwoCallView:
+    """A model without ``group_item_scores_pair``.
+
+    The trainer takes the two-call ``group_item_scores`` path for such
+    models (the baselines); everything else delegates to ``model``.
+    """
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        if name == "group_item_scores_pair":
+            raise AttributeError(name)
+        return getattr(self._model, name)
 
 
 def make_batch(dataset, seed=0, size=32):
@@ -105,9 +124,11 @@ class TestFusedPairScoring:
 
         def fit(fused):
             model = build_model(dataset, config)
+            if not fused:
+                model = TwoCallView(model)
             trainer = KGAGTrainer(
                 model, split.train, dataset.user_item,
-                group_validation=split.validation, fused=fused,
+                group_validation=split.validation,
             )
             return trainer.fit()
 
@@ -131,6 +152,9 @@ CONFIG_MATRIX = [
     {"num_layers": 1},
 ]
 
+# The paper's configuration (d=32, H=2, K=4, query-dependent attention).
+PAPER_CONFIG = {"embedding_dim": 32, "num_neighbors": 4}
+
 
 class TestTapeFreeEvaluation:
     @pytest.mark.parametrize(
@@ -146,22 +170,30 @@ class TestTapeFreeEvaluation:
             model, split.train, dataset.user_item, group_validation=split.validation
         )
         tape_free = trainer.evaluate(split.validation, k=5)
-        trainer.tape_free_eval = False
-        tape = trainer.evaluate(split.validation, k=5)
+        with no_grad():
+            tape = evaluate_group_recommender(
+                lambda g, v: model.group_item_scores(g, v).numpy(),
+                split.validation,
+                k=5,
+                train_interactions=split.train,
+            )
         assert tape_free == tape
 
-    def test_top_k_matches_tape_scores(self, world):
-        from repro.nn import no_grad
-
+    @pytest.mark.parametrize(
+        "override",
+        CONFIG_MATRIX + [PAPER_CONFIG],
+        ids=lambda o: "-".join(f"{k}" for k in o) or "base",
+    )
+    def test_top_k_matches_tape_scores(self, world, override):
         dataset, split = world
-        model = build_model(
-            dataset, KGAGConfig(embedding_dim=8, num_layers=2, num_neighbors=3, seed=11)
-        )
+        base = dict(embedding_dim=8, num_layers=2, num_neighbors=3, seed=11)
+        base.update(override)
+        model = build_model(dataset, KGAGConfig(**base))
         trainer = KGAGTrainer(model, split.train, dataset.user_item)
         engine = trainer._ranking_engine()
         assert engine is not None
         group_ids = np.arange(dataset.groups.num_groups)
-        engine_scores = engine.score_matrix(group_ids)
+        engine_scores = engine.scores_for_groups(group_ids)
         with no_grad():
             items = np.arange(dataset.num_items)
             tape_scores = np.stack(
@@ -173,10 +205,25 @@ class TestTapeFreeEvaluation:
                 ]
             )
         np.testing.assert_allclose(engine_scores, tape_scores, atol=1e-9, rtol=0)
+        tape_top = np.argsort(-tape_scores, axis=1, kind="stable")[:, :5]
         np.testing.assert_array_equal(
-            np.argsort(-engine_scores, axis=1, kind="stable")[:, :5],
-            np.argsort(-tape_scores, axis=1, kind="stable")[:, :5],
+            np.argsort(-engine_scores, axis=1, kind="stable")[:, :5], tape_top
         )
+        # The model-backed recommender ranks through the same kernel, and
+        # a group scored alone gets the row it got in the full batch.
+        recommender = GroupRecommender(model)
+        for group in group_ids:
+            np.testing.assert_array_equal(
+                engine.scores_for_group(int(group)), engine_scores[group]
+            )
+            served = recommender.recommend(int(group), k=5)
+            assert [r.item for r in served] == tape_top[group].tolist()
+            np.testing.assert_allclose(
+                [r.score for r in served],
+                tape_scores[group, tape_top[group]],
+                atol=1e-9,
+                rtol=0,
+            )
 
     def test_unsupported_model_falls_back(self, world):
         dataset, split = world

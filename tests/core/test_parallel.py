@@ -62,17 +62,16 @@ def params_of(trainer):
 
 class TestWorkersOneParity:
     @pytest.mark.parametrize(
-        "loss,fused,compile",
+        "loss,compile",
         [
-            ("margin", True, False),
-            ("margin", False, False),
-            ("margin", True, True),
-            ("bpr", True, False),
-            ("bpr", True, True),
+            ("margin", False),
+            ("margin", True),
+            ("bpr", False),
+            ("bpr", True),
         ],
     )
     def test_bit_exact_with_sequential_trainer(
-        self, small_dataset, small_split, loss, fused, compile
+        self, small_dataset, small_split, loss, compile
     ):
         config = KGAGConfig(
             embedding_dim=8,
@@ -84,16 +83,9 @@ class TestWorkersOneParity:
             loss=loss,
             seed=0,
         )
-        sequential = make_trainer(
-            small_dataset, small_split, config, fused=fused, compile=compile
-        )
+        sequential = make_trainer(small_dataset, small_split, config, compile=compile)
         one_worker = make_trainer(
-            small_dataset,
-            small_split,
-            config,
-            fused=fused,
-            compile=compile,
-            workers=1,
+            small_dataset, small_split, config, compile=compile, workers=1
         )
         for _ in range(2):
             assert sequential.train_epoch() == one_worker.train_epoch()

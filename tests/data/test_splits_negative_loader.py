@@ -89,6 +89,14 @@ class TestNegativeSampler:
         negatives = sampler.sample_for_rows([0])
         assert negatives[0] in (0, 1, 2)  # fallback: cannot avoid
 
+    def test_spent_budget_draws_from_unseen_items(self):
+        # 24 of 25 items are positives: one resample per draw almost never
+        # finds item 24, so the sampler must pick it from the unseen set.
+        table = InteractionTable(1, 25, [(0, item) for item in range(24)])
+        sampler = NegativeSampler(table, rng=np.random.default_rng(0), max_resamples=1)
+        negatives = sampler.sample_for_rows(np.zeros(200, dtype=np.int64))
+        assert (negatives == 24).all()
+
 
 class TestLoader:
     def test_iterate_minibatches_covers_all(self):

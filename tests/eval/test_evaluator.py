@@ -43,7 +43,7 @@ class TestScoreAllItems:
     def test_prebuilt_index_matches_model_scorer(self):
         from repro.core import KGAG, KGAGConfig
         from repro.data import MovieLensLikeConfig, movielens_like
-        from repro.serve import build_index
+        from repro.serve import RankingEngine, build_index
 
         dataset = movielens_like(
             "rand",
@@ -66,8 +66,16 @@ class TestScoreAllItems:
         indexed = score_all_items(
             None, groups, dataset.num_items, index=build_index(model)
         )
+        live = score_all_items(
+            None, groups, dataset.num_items, index=RankingEngine.from_model(model)
+        )
         for group in groups:
-            np.testing.assert_array_equal(direct[int(group)], indexed[int(group)])
+            # The catalog kernel: bit-exact across index and live views,
+            # within 1e-9 of the tape oracle.
+            np.testing.assert_array_equal(live[int(group)], indexed[int(group)])
+            np.testing.assert_allclose(
+                direct[int(group)], indexed[int(group)], atol=1e-9, rtol=0
+            )
 
 
 class TestEvaluateGroupRecommender:

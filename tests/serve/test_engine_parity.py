@@ -111,13 +111,86 @@ class TestAblationParity:
             assert [(r.item, r.score) for r in engine.top_k(group, k=8)] == expected
 
 
+def _pi_mixing_loop(index, size):
+    """Reference block-by-block build of the catalog kernel's PI matrix."""
+    dim, peers = index.dim, size - 1
+    mixing = np.zeros((size * dim, size * dim))
+    for s in range(size):
+        col = slice(s * dim, (s + 1) * dim)
+        mixing[col, col] = index.attn_w_member.T
+        for j, t in enumerate(index.peer_index[s]):
+            row = slice(t * dim, (t + 1) * dim)
+            if index.pi_pooling == "concat":
+                block = index.attn_w_peers[:, j * dim : (j + 1) * dim]
+            else:
+                block = index.attn_w_peers * (1.0 / peers)
+            mixing[row, col] += block.T
+    return mixing
+
+
+class TestCatalogKernel:
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
+    def test_pi_mixing_matrix_matches_loop(self, dataset, pooling):
+        config = KGAGConfig(
+            embedding_dim=8, num_layers=1, num_neighbors=3, pi_pooling=pooling, seed=11
+        )
+        model = KGAG(
+            dataset.kg,
+            dataset.num_users,
+            dataset.num_items,
+            dataset.user_item.pairs,
+            dataset.groups,
+            config,
+        )
+        index = build_index(model)
+        size = dataset.groups.group_size
+        np.testing.assert_array_equal(
+            RankingEngine(index)._pi_mixing_matrix(index, size),
+            _pi_mixing_loop(index, size),
+        )
+
+
+class TestIdRange:
+    """Out-of-range ids raise ``KeyError``; negative ids must not wrap."""
+
+    @pytest.mark.parametrize("backing", ["index", "model"])
+    def test_recommender_rejects_out_of_range_ids(self, model, split, index, backing):
+        if backing == "index":
+            recommender = GroupRecommender(None, index=index)
+        else:
+            recommender = GroupRecommender(model, split.train)
+        groups, items = index.num_groups, index.num_items
+        for group, item in [(-1, 0), (0, -1), (groups, 0), (0, items)]:
+            with pytest.raises(KeyError):
+                recommender.explain(group, item)
+            with pytest.raises(KeyError):
+                recommender.score([group], [item])
+        for group in (-1, groups):
+            with pytest.raises(KeyError):
+                recommender.recommend(group)
+
+
 class TestBatchingAndCache:
-    def test_scores_for_groups_matches_single(self, index):
-        engine = RankingEngine(index)
-        matrix = engine.scores_for_groups([3, 1, 3])
-        np.testing.assert_array_equal(matrix[0], engine.scores_for_group(3))
-        np.testing.assert_array_equal(matrix[1], engine.scores_for_group(1))
-        np.testing.assert_array_equal(matrix[2], matrix[0])
+    def test_scores_for_groups_matches_single(self, index, model, dataset, split):
+        # d=32, H=2, K=4 with query-dependent attention: the paper's config.
+        paper_model = KGAG(
+            dataset.kg,
+            dataset.num_users,
+            dataset.num_items,
+            dataset.user_item.pairs,
+            dataset.groups,
+            KGAGConfig(embedding_dim=32, num_layers=2, num_neighbors=4, seed=11),
+        )
+        engines = [
+            RankingEngine(index),
+            RankingEngine.from_model(model),
+            RankingEngine(build_index(paper_model, train_interactions=split.train)),
+        ]
+        for engine in engines:
+            matrix = engine.scores_for_groups([3, 1, 3])
+            np.testing.assert_array_equal(matrix[0], engine.scores_for_group(3))
+            np.testing.assert_array_equal(matrix[1], engine.scores_for_group(1))
+            np.testing.assert_array_equal(matrix[2], matrix[0])
 
     def test_engine_uses_cache(self, index):
         cache = ScoreCache(8)
