@@ -601,10 +601,18 @@ def _as_int(params: dict, name: str, default: int | None = None) -> int:
         if default is None:
             raise ServiceError(f"missing required parameter {name!r}")
         return default
-    try:
-        return int(params[name])
-    except (TypeError, ValueError):
-        raise ServiceError(f"parameter {name!r} must be an integer") from None
+    value = params[name]
+    # A JSON body can carry any JSON value: accept integers and integer
+    # strings only.  ``int()`` would truncate 2.9, read true as 1 and
+    # raise OverflowError (a 500) on Infinity.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ServiceError(f"parameter {name!r} must be an integer")
 
 
 _TRUE_LITERALS = ("1", "true", "yes", "on")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import KGAGTrainer
+from repro.core.trainer import _COMPILE_FAILED
 from repro.nn import Tensor, install_tape_hooks, ops, uninstall_tape_hooks
 
 from .conftest import build_model
@@ -77,6 +78,17 @@ class TestCompiledMatchesDynamic:
         assert compiled.compile_stats["traces"] >= 1
         assert compiled.compile_stats["replays"] >= 1
         assert compiled.compile_stats["fallbacks"] == 0
+        # Every traced program fits its liveness-pooled arena: buffers
+        # whose lifetimes do not overlap share bytes, never overflow.
+        programs = [
+            program
+            for program in compiled._programs.values()
+            if program is not _COMPILE_FAILED
+        ]
+        assert programs
+        for program in programs:
+            assert program.num_ops > 0
+            assert 0 < program.arena_nbytes <= program.requested_nbytes
 
     @pytest.mark.parametrize("ablate", ["ablate_kg", "ablate_sp", "ablate_pi"])
     def test_ablations_bit_exact(

@@ -42,6 +42,16 @@ class TestAttribution:
         # telescope, so the table explains >= 90% of the wall time.
         assert profiler.coverage >= 0.90
         assert profiler.attributed_seconds <= profiler.wall_seconds
+        # The top-N table ranks ops by total time, largest first, and
+        # every op's share of the attributed time is a fraction.
+        top = profiler.top(5)
+        assert top
+        seconds = [op.total_seconds for op in top]
+        assert seconds == sorted(seconds, reverse=True)
+        assert all(
+            0.0 <= op.total_seconds / profiler.attributed_seconds <= 1.0
+            for op in top
+        )
 
     def test_deterministic_with_injected_clock(self):
         ticks = iter(float(t) for t in range(1000))

@@ -9,6 +9,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
     CircuitBreaker,
@@ -16,7 +17,7 @@ from repro.serve import (
     RecommendationService,
     ServiceError,
 )
-from repro.serve.server import _as_bool
+from repro.serve.server import _as_bool, _as_int
 
 
 @pytest.fixture()
@@ -339,6 +340,32 @@ class TestHardening:
         assert excinfo.value.code == 400
         assert "exclude_seen" in json.loads(excinfo.value.read())["error"]
 
+    # -- JSON body integers ------------------------------------------------
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"group": 2.9}',  # int() would truncate it to group 2
+            b'{"group": true}',  # int() would read it as group 1
+            b'{"group": Infinity}',  # int() raises OverflowError
+            b'{"group": 1, "k": 1e400}',  # k parses as inf
+            b'{"group": "1.5"}',
+            b'{"group": [1]}',
+            b'{"group": null}',
+        ],
+    )
+    def test_non_integer_json_parameter_is_400(self, server, body):
+        status, payload = _raw_post(
+            server,
+            {"Content-Type": "application/json", "Content-Length": str(len(body))},
+            body,
+        )
+        assert status == 400
+        assert "must be an integer" in payload["error"]
+        stats = server.service.stats()
+        assert stats["client_errors"] == 1
+        assert stats["internal_errors"] == 0
+        assert stats["requests"] == 0
+
     # -- keep-alive (load-path hardening) ----------------------------------
     def test_keep_alive_serves_sequential_requests_on_one_connection(self, server):
         conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
@@ -350,6 +377,52 @@ class TestHardening:
                 assert json.loads(response.read())["items"]
         finally:
             conn.close()
+
+
+def _json_containers(children):
+    return st.lists(children, max_size=3) | st.dictionaries(
+        st.text(max_size=5), children, max_size=3
+    )
+
+
+# Every value ``json.loads`` can hand a parameter parser.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    _json_containers,
+    max_leaves=8,
+)
+
+
+class TestParameterParsersProperty:
+    """The body/query parsers return a value of the declared type or
+    raise ``ServiceError`` (a 400), for any JSON value: nothing else may
+    escape and become a 500."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES | st.from_regex(r"\A\s*[+-]?\d{1,30}\s*\Z"))
+    def test_as_int_returns_the_integer_or_rejects(self, value):
+        try:
+            result = _as_int({"x": value}, "x")
+        except ServiceError:
+            return
+        assert type(result) is int
+        assert result == (int(value) if isinstance(value, str) else value)
+        assert not isinstance(value, (bool, float))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_as_bool_returns_a_bool_or_rejects(self, value):
+        try:
+            result = _as_bool({"x": value}, "x", default=False)
+        except ServiceError:
+            return
+        assert type(result) is bool
+        if isinstance(value, bool):
+            assert result is value
 
 
 class TestStopContract:
