@@ -14,6 +14,12 @@ The run fails (exit 1) if the detector reports any lockset violation,
 and prints the two wall times so the detector's overhead stays an
 explicit, measured number.
 
+A second drill runs real catalog scoring: N threads score overlapping
+groups of a small attentive index from a cold member table
+(:class:`~repro.serve.engine.CatalogTable`), with the table tracked.
+It fails on any violation, or if a row differs from a single-thread
+run's.
+
 The workload is deterministic — a stub engine computes ``group + item``
 scores, every 13th group's primary scorer raises to exercise the
 circuit breaker, and thread scheduling only affects interleaving, which
@@ -30,15 +36,18 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core import KGAG, KGAGConfig
 from ..core.parallel import ParallelStats
+from ..data import MovieLensLikeConfig, movielens_like
 from ..obs.metrics import LATENCY_MS_BUCKETS, MetricsRegistry
 from ..obs.trace import Tracer
 from ..serve.cache import ScoreCache
-from ..serve.engine import MicroBatcher
+from ..serve.engine import MicroBatcher, RankingEngine
 from ..serve.fallback import CircuitBreaker, ResilientScorer
+from ..serve.index import build_index
 from .racecheck import RaceDetector
 
-__all__ = ["StressResult", "run_stress", "main"]
+__all__ = ["StressResult", "run_stress", "run_catalog_drill", "main"]
 
 NUM_ITEMS = 32
 FAILING_GROUP = 7  # groups hitting this id (mod 13) exercise the breaker
@@ -151,6 +160,58 @@ def run_stress(
     return StressResult(elapsed, list(detector.violations))
 
 
+def run_catalog_drill(threads: int, capture_stacks: bool = False) -> tuple[list, int]:
+    """``(violations, mismatched_rows)`` of concurrent cold-table scoring.
+
+    Every thread scores every group of a small attentive (d=16, H=2,
+    K=4) index, each starting at its own offset, so threads race to
+    fill the same users' member rows.
+    """
+    dataset = movielens_like(
+        "rand", MovieLensLikeConfig(num_users=24, num_items=30, num_groups=12, seed=0)
+    )
+    model = KGAG(
+        dataset.kg,
+        dataset.num_users,
+        dataset.num_items,
+        dataset.user_item.pairs,
+        dataset.groups,
+        KGAGConfig(embedding_dim=16, num_layers=2, num_neighbors=4, seed=0),
+    )
+    groups = list(range(dataset.groups.num_groups))
+    single = RankingEngine(build_index(model))
+    reference = {group: single.scores_for_group(group) for group in groups}
+
+    index = build_index(model)  # a fresh snapshot: its table starts cold
+    engine = RankingEngine(index)
+    rows: list[dict] = [{} for _ in range(threads)]
+
+    def score(worker_id: int) -> None:
+        offset = (worker_id * 5) % len(groups)
+        for group in groups[offset:] + groups[:offset]:
+            rows[worker_id][group] = engine.scores_for_group(group)
+
+    detector = RaceDetector(capture_stacks=capture_stacks)
+    detector.track(index.catalog_table)
+    workers = [
+        threading.Thread(target=score, args=(worker_id,), name=f"catalog-{worker_id}")
+        for worker_id in range(threads)
+    ]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        detector.untrack_all()
+    mismatched = sum(
+        not np.array_equal(vector, reference[group])
+        for per_thread in rows
+        for group, vector in per_thread.items()
+    ) + sum(len(groups) - len(per_thread) for per_thread in rows)
+    return list(detector.violations), mismatched
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.race_smoke",
@@ -174,13 +235,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"race-smoke: {args.threads} threads x {args.iterations} iterations")
     print(f"  detector off: {baseline.elapsed * 1e3:9.1f} ms")
     print(f"  detector on:  {tracked.elapsed * 1e3:9.1f} ms  ({ratio:.1f}x)")
-    if tracked.violations:
-        print(f"  violations: {len(tracked.violations)}")
-        for violation in tracked.violations:
+    violations, mismatched = run_catalog_drill(args.threads, args.stacks)
+    print(f"  catalog table: {args.threads} threads, cold start")
+    print(f"    rows differing from a single-thread run: {mismatched}")
+    failed = False
+    for label, found in (
+        ("violations", tracked.violations),
+        ("catalog violations", violations),
+    ):
+        print(f"  {label}: {len(found)}")
+        for violation in found:
             print(violation.render())
-        return 1
-    print("  violations: 0")
-    return 0
+        failed = failed or bool(found)
+    return 1 if failed or mismatched else 0
 
 
 if __name__ == "__main__":

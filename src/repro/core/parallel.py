@@ -46,7 +46,10 @@ cleanup: :meth:`WorkerPool.close` stops the workers, joins them, rebinds
 the parameters to private copies and closes **and unlinks** every
 segment; a ``weakref.finalize`` backstop runs the same teardown at
 garbage collection.  The RL107 lint rule enforces this pairing
-statically for every ``SharedMemory`` call site in the repo.
+statically for every ``SharedMemory`` call site in the repo.  A worker
+that dies (even by SIGKILL) is noticed through its process sentinel:
+the pool closes and the epoch raises instead of waiting on a pipe that
+never reaches EOF.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import traceback
 import weakref
 from multiprocessing import get_context
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -326,7 +330,8 @@ class ParallelStats:
 
 
 class _WorkerCrash(RuntimeError):
-    """A worker process reported an exception (its traceback is the message)."""
+    """A worker process failed: it reported an exception (its traceback
+    is the message) or died (the message names it and its exit code)."""
 
 
 def _build_shard_loader(trainer, worker_id: int, workers: int):
@@ -447,10 +452,16 @@ class WorkerPool:
             process.start()
         for _parent, child_end in pipes:
             child_end.close()
+        # Armed before the handshake, so a worker dying during it can
+        # already close the pool.
+        self._finalizer = weakref.finalize(
+            self, WorkerPool._shutdown, self._processes, self._connections,
+            self.store,
+        )
         self._worker_rng: list = []
         self._active: list[bool] = []
-        for connection in self._connections:
-            kind, state = self._receive(connection)
+        for worker_id in range(self.workers):
+            kind, state = self._receive(worker_id)
             if kind != "ready":  # pragma: no cover - handshake violation
                 raise _WorkerCrash(f"worker handshake returned {kind!r}")
             self._worker_rng.append(state)
@@ -481,10 +492,6 @@ class WorkerPool:
             )
             for worker_id in range(self.workers)
         ]
-        self._finalizer = weakref.finalize(
-            self, WorkerPool._shutdown, self._processes, self._connections,
-            self.store,
-        )
 
     # -- epoch orchestration ---------------------------------------------
     def train_epoch(self) -> list[float]:
@@ -515,7 +522,7 @@ class WorkerPool:
             still_running: list[int] = []
             sparse_rows = 0
             for worker_id in remaining:  # fixed worker order
-                kind, *body = self._receive(self._connections[worker_id])
+                kind, *body = self._receive(worker_id)
                 if kind == "done":
                     self._worker_rng[worker_id] = body[0]
                     continue
@@ -561,8 +568,30 @@ class WorkerPool:
         self._worker_rng = list(streams)
 
     # -- plumbing ----------------------------------------------------------
-    def _receive(self, connection):
-        message = connection.recv()
+    def _receive(self, worker_id: int):
+        connection = self._connections[worker_id]
+        process = self._processes[worker_id]
+        # Every worker inherits its siblings' child pipe ends through
+        # fork, so a dead worker's pipe never reaches EOF: wait on the
+        # process sentinel too.  A message already sent is still read.
+        message = None
+        if connection in wait([connection, process.sentinel]):
+            try:
+                message = connection.recv()
+            except EOFError:  # every holder of the child end is gone
+                pass
+        if message is None:
+            process.join(timeout=5.0)
+            # The epoch cannot finish without this worker, and a
+            # survivor may be blocked sending a reply nobody will read.
+            for other in self._processes:
+                if other.is_alive():
+                    other.terminate()
+            self.close()
+            raise _WorkerCrash(
+                f"worker {worker_id} ({process.name}) died with exit code "
+                f"{process.exitcode}"
+            )
         if message[0] == "error":
             crash = _WorkerCrash(f"worker failed:\n{message[1]}")
             self.close()

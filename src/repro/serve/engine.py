@@ -7,7 +7,8 @@ follows :class:`~repro.core.propagation.InformationPropagation`
 :class:`~repro.core.attention.PreferenceAggregation` (Eqs. 9-13) — with
 the same operation order, so pair scores match the autograd path bit for
 bit.  Full-catalog rankings run a catalog kernel that gathers each
-receptive field once per group and agrees with the tape to float
+receptive field once per group, propagates each user once per index
+snapshot (:class:`CatalogTable`) and agrees with the tape to float
 round-off.  There is no tape, no ``Tensor`` wrapper and no parameter
 extraction per request: everything reads from the frozen index arrays.
 
@@ -33,6 +34,7 @@ __all__ = [
     "RankedItem",
     "propagate",
     "engine_supports",
+    "CatalogTable",
     "LiveModelIndex",
     "RankingEngine",
     "MicroBatcher",
@@ -234,6 +236,61 @@ def _catalog_propagate(index, seed_rows: np.ndarray, queries: np.ndarray) -> np.
     return hidden[0]  # (M, S, Q, d)
 
 
+class CatalogTable:
+    """Per-snapshot memo of the catalog kernel's group-independent pieces.
+
+    Every index (:class:`~repro.serve.index.EmbeddingIndex` and
+    :class:`LiveModelIndex`) owns one, so a memoized array lives exactly
+    as long as the weights it was computed from.  Keys are small tuples:
+
+    * ``("member", entity)`` — one user's ``(num_items, d)`` final
+      catalog rows.  Eq. 2 queries a member with the candidate item, so
+      the rows depend on (user, item) only, never on the group; each
+      user is propagated alone, so a row never depends on which group
+      filled it.  Bounded by ``num_users x num_items x d x 8`` bytes.
+    * ``("item_queries",)``, ``("pi_mixing", size)``,
+      ``("pi_bias", size)`` — the catalog's item-query gather and the PI
+      attention's block matrix and tiled bias.
+
+    Values are computed outside the lock and frozen read-only; on an
+    insert race the first writer wins, so every caller of one key sees
+    the same array.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
+        self._computed = 0  # guarded-by: _lock
+
+    def get(self, key: tuple, compute) -> np.ndarray:
+        """The memoized array under ``key``; ``compute()`` fills a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+        if value is None:
+            value = compute()
+            value.setflags(write=False)
+            with self._lock:
+                value = self._entries.setdefault(key, value)
+                self._computed += 1
+        return value
+
+    @property
+    def computed(self) -> int:
+        """Misses computed so far, including any that lost an insert race."""
+        with self._lock:
+            return self._computed
+
+
+def _member_rows(index, entity: int, item_queries: np.ndarray) -> np.ndarray:
+    """One user's ``(num_items, d)`` final catalog rows, memoized per snapshot."""
+    return index.catalog_table.get(
+        ("member", entity),
+        lambda: _catalog_propagate(
+            index, np.array([[entity]], dtype=np.int64), item_queries
+        )[0, 0],
+    )
+
+
 def _check_ids(ids: np.ndarray, bound: int, kind: str) -> None:
     """Reject ids outside ``[0, bound)``; negative ids must not wrap."""
     bad = ids[(ids < 0) | (ids >= bound)]
@@ -279,7 +336,9 @@ class LiveModelIndex:
     costs microseconds, which is what makes per-epoch tape-free
     evaluation practical.  The view is only coherent while the
     parameters are not being updated — score, then let the optimizer
-    step, then build a fresh view.
+    step, then build a fresh view.  Its :class:`CatalogTable` memoizes
+    rows computed from the weights at first use, which is one more
+    reason a view must not outlive an optimizer step.
     """
 
     def __init__(self, model, train_interactions=None):
@@ -328,6 +387,7 @@ class LiveModelIndex:
                 self, all_entities, np.zeros((len(all_entities), self.dim))
             )
         self._train_interactions = train_interactions
+        self.catalog_table = CatalogTable()
         self._seen_lock = threading.Lock()
         self._seen_by_group: dict[int, np.ndarray] | None = None  # guarded-by: _seen_lock
 
@@ -545,8 +605,13 @@ class RankingEngine:
                 "bsd,bd->bs", member_vectors, item_vectors
             ) * (1.0 / np.sqrt(dim))
         if index.use_pi:
-            hidden = member_vectors.reshape(batch, size * dim) @ self._pi_mixing_matrix(index, size)
-            hidden += np.tile(index.attn_bias, size)
+            table = index.catalog_table
+            mixing = table.get(
+                ("pi_mixing", size), lambda: self._pi_mixing_matrix(index, size)
+            )
+            bias = table.get(("pi_bias", size), lambda: np.tile(index.attn_bias, size))
+            hidden = member_vectors.reshape(batch, size * dim) @ mixing
+            hidden += bias
             np.maximum(hidden, 0.0, out=hidden)
             combined += (hidden.reshape(batch * size, dim) @ index.attn_context).reshape(
                 batch, size
@@ -592,7 +657,10 @@ class RankingEngine:
         The same Eqs. 1-14 as :meth:`_score_chunk`, but each member's
         and each item's receptive field is gathered once and reused
         across the catalog (see :func:`_catalog_propagate`) instead of
-        once per ``(group, item)`` pair.
+        once per ``(group, item)`` pair.  Member rows are gathered from
+        the index's :class:`CatalogTable`, so a user is propagated once
+        per index snapshot, not once per group; only the item side,
+        queried by the group's mean member embedding, runs per group.
         """
         dim = index.dim
         num_items = index.num_items
@@ -613,12 +681,18 @@ class RankingEngine:
         else:
             # Queries (Eq. 2): candidate item zero-order for member seeds,
             # mean member zero-order for item seeds.
-            item_queries = index.entity_embeddings[item_entities]  # (I, d)
+            table = index.catalog_table
+            item_queries = table.get(
+                ("item_queries",), lambda: index.entity_embeddings[item_entities]
+            )  # (I, d)
             member_zero = index.entity_embeddings[member_entities]  # (S, d)
             group_query = member_zero.sum(axis=0, keepdims=True) * (1.0 / size)
-            member_final = _catalog_propagate(
-                index, member_entities.reshape(1, -1), item_queries
-            )[0].transpose(1, 0, 2)  # (S, I, d) -> (I, S, d)
+            member_final = np.stack(
+                [
+                    _member_rows(index, entity, item_queries)
+                    for entity in member_entities.tolist()
+                ]
+            ).transpose(1, 0, 2)  # (S, I, d) -> (I, S, d)
             item_final = _catalog_propagate(
                 index, item_entities.reshape(-1, 1), group_query
             ).reshape(num_items, dim)

@@ -36,6 +36,7 @@ from ..nn.serialization import (
     read_npz_archive,
     resolve_npz_path,
 )
+from .engine import CatalogTable, propagate
 
 __all__ = ["INDEX_FORMAT_VERSION", "IndexError_", "EmbeddingIndex", "build_index"]
 
@@ -197,6 +198,9 @@ class EmbeddingIndex:
         self.metadata = dict(metadata)
         self.version = self.metadata.get("fingerprint") or self._fingerprint()
         self.metadata["fingerprint"] = self.version
+        # Per-snapshot memo of the catalog kernel: a reload builds a new
+        # index, so the table starts empty with the new weights.
+        self.catalog_table = CatalogTable()
         self._seen_lock = threading.Lock()
         self._seen_by_group: dict[int, np.ndarray] | None = None  # guarded-by: _seen_lock
 
@@ -364,8 +368,6 @@ class EmbeddingIndex:
         if depth == 0 or config.uniform_neighbor_weights:
             # Query-independent propagation: run the GCN once over every
             # entity and freeze the outputs.
-            from .engine import propagate  # local import avoids a cycle
-
             all_entities = np.arange(index.entity_embeddings.shape[0])
             dummy_queries = np.zeros((len(all_entities), index.dim))
             final = propagate(index, all_entities, dummy_queries)

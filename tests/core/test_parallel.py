@@ -17,6 +17,10 @@ Plus unit coverage of the building blocks (sparse extraction, the
 deterministic merge, ``step_rows``, the shared-memory store lifecycle).
 """
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,7 @@ from repro.core.parallel import (
     SPARSE_MIN_ROWS,
     ParallelStats,
     SharedParamStore,
+    _WorkerCrash,
     extract_gradients,
     leaked_segments,
     merge_gradients,
@@ -322,6 +327,61 @@ class TestKillAndResume:
         handshake = pool.rng_states()["streams"]
         fresh.close()
         assert before == handshake
+
+
+# ---------------------------------------------------------------------------
+# fail-stop: a dead worker ends the epoch with a typed error, not a hang
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerDeath:
+    #: Upper bound on how long the parent may take to notice the death.
+    DETECT_TIMEOUT_S = 20.0
+
+    def test_sigkilled_worker_raises_and_releases_the_pool(
+        self, small_dataset, small_split, fast_config
+    ):
+        before = set(leaked_segments())
+        trainer = make_trainer(small_dataset, small_split, fast_config, workers=2)
+        try:
+            trainer.train_epoch()
+            pool = trainer._pool
+            victim = pool._processes[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+
+            outcome: dict = {}
+
+            def next_epoch():
+                try:
+                    trainer.train_epoch()
+                except BaseException as error:  # handed to the test thread
+                    outcome["error"] = error
+
+            # The parent side runs in a thread so a hang fails the test
+            # (bounded by the join timeout) instead of stalling the suite.
+            thread = threading.Thread(target=next_epoch, daemon=True)
+            thread.start()
+            thread.join(timeout=self.DETECT_TIMEOUT_S)
+            hung = thread.is_alive()
+            if hung:
+                # Unblock the stuck receive: with every pipe holder gone
+                # the parent's recv() reaches EOF and the thread ends.
+                for process in pool._processes:
+                    if process.is_alive():
+                        process.kill()
+                thread.join(timeout=10.0)
+            assert not hung, "train_epoch hung after a worker was SIGKILLed"
+            error = outcome.get("error")
+            assert isinstance(error, _WorkerCrash), repr(error)
+            assert "worker 1" in str(error)
+            assert f"exit code {-signal.SIGKILL}" in str(error)
+            assert not any(process.is_alive() for process in pool._processes)
+            assert set(leaked_segments()) <= before
+        finally:
+            trainer.close()
+        assert set(leaked_segments()) <= before
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,32 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import KGAG, KGAGConfig, GroupRecommender
-from repro.serve import MicroBatcher, RankingEngine, ScoreCache, build_index
+from repro.core import KGAG, KGAGConfig, KGAGTrainer, GroupRecommender
+from repro.nn import no_grad
+from repro.serve import (
+    LiveModelIndex,
+    MicroBatcher,
+    RankingEngine,
+    RecommendationService,
+    ScoreCache,
+    build_index,
+)
+
+#: The paper's configuration: d=32, H=2, K=4, query-dependent attention.
+PAPER_CONFIG = dict(
+    embedding_dim=32, num_layers=2, num_neighbors=4, uniform_neighbor_weights=False
+)
+
+
+def _paper_model(dataset, seed=11):
+    return KGAG(
+        dataset.kg,
+        dataset.num_users,
+        dataset.num_items,
+        dataset.user_item.pairs,
+        dataset.groups,
+        KGAGConfig(seed=seed, **PAPER_CONFIG),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +172,70 @@ class TestCatalogKernel:
             RankingEngine(index)._pi_mixing_matrix(index, size),
             _pi_mixing_loop(index, size),
         )
+
+
+class TestMemberTable:
+    """The per-user member table on each index snapshot (``CatalogTable``)."""
+
+    def test_rows_do_not_depend_on_table_state_or_order(self, dataset, split):
+        model = _paper_model(dataset)
+        groups = list(range(dataset.groups.num_groups))
+        interleaved = groups[::2] + groups[1::2]
+
+        def rows_in(order):
+            index = build_index(model, train_interactions=split.train)
+            engine = RankingEngine(index)
+            return {group: engine.scores_for_group(group) for group in order}, index
+
+        forward, index = rows_in(groups)
+        # One entry per distinct member, plus the item-query gather and
+        # the PI block matrix and tiled bias of the one group size.
+        computed = index.catalog_table.computed
+        assert computed == len(np.unique(dataset.groups.members)) + 3
+        reversed_rows, _ = rows_in(groups[::-1])
+        interleaved_rows, _ = rows_in(interleaved)
+        warm = RankingEngine(index)  # same snapshot: every member row cached
+        for group in groups:
+            cold, _ = rows_in([group])
+            for other in (reversed_rows, interleaved_rows, cold):
+                np.testing.assert_array_equal(other[group], forward[group])
+            np.testing.assert_array_equal(warm.scores_for_group(group), forward[group])
+        assert index.catalog_table.computed == computed
+
+    def test_live_view_after_optimizer_step_reads_new_weights(self, dataset, split):
+        model = _paper_model(dataset)
+        trainer = KGAGTrainer(model, split.train, dataset.user_item, split.validation)
+        group = 2
+        before = RankingEngine(LiveModelIndex(model)).scores_for_group(group)
+        trainer.train_step(next(iter(trainer.loader.epoch())))
+        after = RankingEngine(LiveModelIndex(model)).scores_for_group(group)
+        model.eval()
+        items = np.arange(model.num_items)
+        with no_grad():
+            tape = model.group_item_scores(np.full_like(items, group), items).numpy()
+        np.testing.assert_allclose(after, tape, rtol=0, atol=1e-9)
+        assert not np.allclose(after, before, rtol=0, atol=1e-9)
+
+    def test_reload_starts_from_the_new_snapshot(self, dataset, split):
+        old = build_index(_paper_model(dataset, seed=11), train_interactions=split.train)
+        new = build_index(_paper_model(dataset, seed=12), train_interactions=split.train)
+        service = RecommendationService(
+            old, cache_capacity=0, deadline_ms=None, batch_wait_ms=0.0
+        )
+        try:
+            groups = range(dataset.groups.num_groups)
+            for group in groups:  # warm the old snapshot's member table
+                service.engine.scores_for_group(group)
+            service.reload_index(new)
+            fresh = RankingEngine(build_index(
+                _paper_model(dataset, seed=12), train_interactions=split.train
+            ))
+            for group in groups:
+                np.testing.assert_array_equal(
+                    service.engine.scores_for_group(group), fresh.scores_for_group(group)
+                )
+        finally:
+            service.close()
 
 
 class TestIdRange:
